@@ -25,12 +25,15 @@
 //! absolute of unstructured 90 % — the accuracy price of tiling must not
 //! eat the serving win `serve_load` measures.
 //!
-//! `--quantized` (ISSUE 10) adds int8-scored ride-along rows (dense and
-//! every level, on the configured structure) at the *same* masked
-//! weights, and gates that the quantized 90 % WER stays within +0.5 %
-//! absolute of f32 per policy — the int8 bandwidth win must not cost
-//! accuracy either. Composes with `--structured` for the serving
-//! deployment's exact recipe (tile-pruned, int8-BSR-served).
+//! `--quantized` adds int8-scored rows (dense, and every level on the
+//! study's structure) at the *same* masked weights, and gates that the
+//! quantized 90 % WER stays within +0.5 % absolute of f32 per policy — the
+//! int8 bandwidth win must not cost accuracy either. Composes with
+//! `--structured` for the serving deployment's exact recipe (tile-pruned,
+//! int8-BSR-served).
+//!
+//! The rows are listed explicitly as [`ServableSpec`]s: dense, int8 dense,
+//! then per level the unstructured row, the 8×8-tile row and the int8 row.
 
 use darkside_bench::report::{
     check, json_arg, policy_grid_json, print_policy_grid, print_policy_latency, write_json_file,
@@ -39,7 +42,7 @@ use darkside_core::trace::{self, MemoryRecorder};
 use darkside_core::viterbi_accel::{NBestTableConfig, UnfoldHashConfig};
 use darkside_core::wfst::GraphSource;
 use darkside_core::{
-    Pipeline, PipelineConfig, PolicyGridReport, PolicyKind, Precision, PruneStructure,
+    Pipeline, PipelineConfig, PolicyGridReport, PolicyKind, Precision, PruneStructure, ServableSpec,
 };
 use std::rc::Rc;
 
@@ -117,9 +120,7 @@ fn main() {
     // WER) where 64 entries keep it.
     let (config, nbest) = if structured {
         (
-            config
-                .with_structure(PruneStructure::tile())
-                .with_training(14, 24),
+            config.with_training(14, 24),
             NBestTableConfig {
                 entries: 64,
                 ways: 8,
@@ -128,15 +129,29 @@ fn main() {
     } else {
         (config, nbest)
     };
-    // `--quantized` (ISSUE 10) rides along either mode: every level (and
-    // dense) gains an int8-scored row at the *same* masked weights on the
-    // configured structure, so the grid reads the quantization WER cost at
-    // equal sparsity per policy — and gates it.
-    let config = if quantized {
-        config.with_precision(Precision::Int8)
+    // `--quantized` composes with either mode: dense and every level gain
+    // an int8-scored row at the *same* masked weights as the study's
+    // structure, so the grid reads the quantization WER cost at equal
+    // sparsity per policy — and gates it.
+    let structure = if structured {
+        PruneStructure::tile()
     } else {
-        config
+        PruneStructure::Unstructured
     };
+    let mut variants = vec![ServableSpec::dense()];
+    if quantized {
+        variants.push(ServableSpec::dense().with_precision(Precision::Int8));
+    }
+    for &target in &config.prune_levels {
+        let study = ServableSpec::pruned(target).with_structure(structure);
+        variants.push(ServableSpec::pruned(target));
+        if structured {
+            variants.push(study);
+        }
+        if quantized {
+            variants.push(study.with_precision(Precision::Int8));
+        }
+    }
     let policies = [
         PolicyKind::Beam,
         PolicyKind::UnfoldHash(UnfoldHashConfig::scaled()),
@@ -148,7 +163,7 @@ fn main() {
     // latency percentiles (ISSUE 4); trace_neutrality.rs pins that the
     // recorder cannot change the decode itself.
     let report = trace::with_recorder(Rc::new(MemoryRecorder::new()), || {
-        pipeline.run_policy_grid(&policies)
+        pipeline.run_policy_grid(&variants, &policies)
     })
     .expect("policy grid");
     println!(
@@ -204,7 +219,7 @@ fn main() {
     // Smoke's retrain-free toy model decodes at ~100% WER by design (the
     // smoke checks are ordering-only), so the accuracy gate is full-only.
     if structured && !smoke {
-        let tag = PruneStructure::tile().label();
+        let tag = structure.label();
         for policy in report.policies.clone() {
             let u = cell(&report, "90%", "unstructured", "f32", &policy).wer_percent;
             let s = cell(&report, "90%", &tag, "f32", &policy).wer_percent;
@@ -215,17 +230,13 @@ fn main() {
             );
         }
     }
-    // ISSUE 10: the quantized ride-along rows score the *same* masked
-    // weights through the int8 store, so any WER delta is pure
-    // quantization error. Smoke's toy model decodes at ~100% WER by
-    // design, so smoke only gates row presence; the full run holds the
-    // quantized WER to +0.5% absolute of f32 at 90% for every policy.
+    // The quantized rows score the *same* masked weights through the int8
+    // store, so any WER delta is pure quantization error. Smoke's toy model
+    // decodes at ~100% WER by design, so smoke only gates row presence; the
+    // full run holds the quantized WER to +0.5% absolute of f32 at 90% for
+    // every policy.
     if quantized {
-        let tag = if structured {
-            PruneStructure::tile().label()
-        } else {
-            "unstructured".to_string()
-        };
+        let tag = structure.label();
         for policy in report.policies.clone() {
             let q = cell(&report, "90%", &tag, "int8", &policy);
             let d = cell(&report, "dense", "unstructured", "int8", &policy);

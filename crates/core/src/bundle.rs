@@ -74,11 +74,13 @@ impl ModelBundle {
     }
 }
 
-/// What to export from a [`Pipeline`] as a [`ModelBundle`] — the single
-/// servable-export surface (ISSUE 7 API redesign, replacing the old
-/// `servable_dense` / `servable_pruned` / `servable_pruned_structured`
-/// trio). Start from [`ServableSpec::dense`] or [`ServableSpec::pruned`]
-/// and override only what differs from the pipeline's own configuration:
+/// One model variant — sparsity × structure × precision × retrain — and
+/// the only way to name one. [`Pipeline::servable`] exports it as a
+/// [`ModelBundle`]; [`Pipeline::run_policy_grid`] decodes it as one report
+/// row per policy. Start from [`ServableSpec::dense`] or
+/// [`ServableSpec::pruned`] and override only what differs from the
+/// defaults (unstructured, f32, the pipeline's retrain budget, policy and
+/// beam):
 ///
 /// ```ignore
 /// let bundle = pipeline.servable(
@@ -90,18 +92,18 @@ impl ModelBundle {
 #[derive(Clone, Copy, Debug)]
 pub struct ServableSpec {
     /// Target global sparsity; 0 exports the dense model unchanged.
-    sparsity: f64,
-    /// Pruning structure; `None` defers to the pipeline's configured one.
-    structure: Option<PruneStructure>,
+    pub(crate) sparsity: f64,
+    /// Pruning structure (unstructured unless overridden).
+    pub(crate) structure: PruneStructure,
     /// Serving-time pruning policy; `None` defers to the pipeline's.
-    policy: Option<PolicyKind>,
+    pub(crate) policy: Option<PolicyKind>,
     /// Serving-time beam; `None` defers to the pipeline's.
-    beam: Option<BeamConfig>,
+    pub(crate) beam: Option<BeamConfig>,
     /// Masked-retraining epochs after the prune; `None` defers to the
     /// pipeline's configured budget.
-    retrain: Option<usize>,
-    /// Scoring precision of the exported scorer (ISSUE 10).
-    precision: Precision,
+    pub(crate) retrain: Option<usize>,
+    /// Scoring precision of the scorer.
+    pub(crate) precision: Precision,
 }
 
 impl ServableSpec {
@@ -109,7 +111,7 @@ impl ServableSpec {
     pub fn dense() -> Self {
         Self {
             sparsity: 0.0,
-            structure: None,
+            structure: PruneStructure::Unstructured,
             policy: None,
             beam: None,
             retrain: None,
@@ -128,19 +130,19 @@ impl ServableSpec {
         }
     }
 
-    /// Prune under an explicit structure instead of the pipeline's
-    /// configured one (the serving bench exports unstructured and tiled
-    /// bundles from one pipeline). Dense specs reject structure overrides.
+    /// Prune under `structure` instead of element-wise: block structures
+    /// prune whole serving tiles and are served from BSR. Dense specs
+    /// reject block structures.
     pub fn with_structure(mut self, structure: PruneStructure) -> Self {
-        self.structure = Some(structure);
+        self.structure = structure;
         self
     }
 
-    /// Export the scorer at `precision` (ISSUE 10): [`Precision::Int8`]
-    /// calibrates activation scales on the pipeline's training distribution
-    /// and serves int8 weights — quantized BSR when the effective structure
-    /// is the 8×8 serving tile, packed dense i8 otherwise (including dense
-    /// exports).
+    /// Score at `precision`: [`Precision::Int8`] calibrates
+    /// activation scales on the pipeline's training distribution and serves
+    /// int8 weights — quantized BSR when the structure is the 8×8 serving
+    /// tile, packed dense i8 otherwise (including dense exports). A pruned
+    /// int8 variant quantizes the same masked weights its f32 twin serves.
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
         self
@@ -175,82 +177,27 @@ impl ServableSpec {
 impl Pipeline {
     /// Export a servable [`ModelBundle`] per `spec` (shares the decoding
     /// graph; dense export clones the model once into the `Arc`, pruned
-    /// export runs prune + masked retraining). Fails fast — bad sparsity
-    /// targets, dense+structure contradictions, and unbuildable policy
-    /// geometry all error here, not on a serving thread mid-session.
+    /// export reuses or runs the prune + masked retraining). Fails fast —
+    /// bad sparsity targets, dense+structure contradictions, and
+    /// unbuildable policy geometry all error here, not on a serving thread
+    /// mid-session.
     pub fn servable(&self, spec: ServableSpec) -> Result<ModelBundle, Error> {
         let policy = spec.policy.unwrap_or(self.config.policy);
         let beam = spec.beam.unwrap_or(self.config.beam);
         // Surface bad policy geometry now (the bundle builds one policy per
         // session later, on scheduler threads).
         policy.build(&beam)?;
-
-        let (scorer, label, structure, sparsity): (Arc<dyn FrameScorer + Send + Sync>, _, _, _) =
-            if spec.sparsity == 0.0 {
-                if let Some(structure) = spec.structure {
-                    return Err(Error::config(
-                        "ServableSpec",
-                        format!(
-                            "dense export cannot carry a pruning structure ({})",
-                            structure.label()
-                        ),
-                    ));
-                }
-                if let Some(epochs) = spec.retrain {
-                    return Err(Error::config(
-                        "ServableSpec",
-                        format!("dense export cannot carry a retrain override ({epochs} epochs)"),
-                    ));
-                }
-                let scorer: Arc<dyn FrameScorer + Send + Sync> = match spec.precision {
-                    Precision::F32 => Arc::new(self.model.clone()),
-                    Precision::Int8 => Arc::new(self.quantize_dense()?),
-                };
-                (
-                    scorer,
-                    "dense".to_string(),
-                    PruneStructure::Unstructured.label(),
-                    0.0,
-                )
-            } else {
-                if !(spec.sparsity > 0.0 && spec.sparsity < 1.0) {
-                    return Err(Error::config(
-                        "ServableSpec",
-                        format!("sparsity target {} outside (0, 1)", spec.sparsity),
-                    ));
-                }
-                let structure = spec.structure.unwrap_or(self.config.structure);
-                let retrain = spec.retrain.unwrap_or(self.config.retrain_epochs);
-                let (scorer, achieved): (Arc<dyn FrameScorer + Send + Sync>, f64) =
-                    match spec.precision {
-                        Precision::F32 => {
-                            let (pruned, achieved) =
-                                self.prune_with_retrain(spec.sparsity, structure, retrain)?;
-                            (Arc::new(pruned), achieved)
-                        }
-                        Precision::Int8 => {
-                            let (quantized, achieved) =
-                                self.quantize_pruned(spec.sparsity, structure, retrain)?;
-                            (Arc::new(quantized), achieved)
-                        }
-                    };
-                (
-                    scorer,
-                    format!("{:.0}%", spec.sparsity * 100.0),
-                    structure.label(),
-                    achieved,
-                )
-            };
+        let (scorer, row) = self.variant(&spec)?;
         Ok(ModelBundle {
             graph: self.graph.source(),
             graph_kind: self.graph.kind(),
             scorer,
             beam,
             policy,
-            label,
-            structure,
-            precision: spec.precision,
-            sparsity,
+            label: row.label,
+            structure: row.structure.label(),
+            precision: row.precision,
+            sparsity: row.sparsity,
             dense_hyps_baseline: self.dense_hyps_baseline(&beam)?,
         })
     }
@@ -326,5 +273,29 @@ mod tests {
             .unwrap();
         assert_eq!(tiled.structure, "b8x8");
         assert_eq!(tiled.label, "50%");
+    }
+
+    #[test]
+    fn f32_and_int8_exports_share_one_prune_and_retrain() {
+        use darkside_trace::{self as trace, MemoryRecorder, Recorder};
+        use std::rc::Rc;
+        let pipeline = Pipeline::build(PipelineConfig::smoke().with_training(0, 1)).unwrap();
+        let recorder = Rc::new(MemoryRecorder::new());
+        let tile = ServableSpec::pruned(0.9).with_structure(PruneStructure::tile());
+        let export = |spec| trace::with_recorder(recorder.clone(), || pipeline.servable(spec));
+        let spans = |name: &str| {
+            let snapshot = recorder.snapshot().unwrap();
+            snapshot.spans.get(name).map_or(0, |s| s.count)
+        };
+        let f32_bundle = export(tile).unwrap();
+        let int8_bundle = export(tile.with_precision(Precision::Int8)).unwrap();
+        assert_eq!((spans("prune"), spans("retrain")), (1, 1));
+        assert_eq!(
+            f32_bundle.sparsity.to_bits(),
+            int8_bundle.sparsity.to_bits()
+        );
+        // A different retrain budget is a different artifact.
+        export(tile.with_retrain(0)).unwrap();
+        assert_eq!((spans("prune"), spans("retrain")), (2, 1));
     }
 }

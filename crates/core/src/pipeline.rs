@@ -9,16 +9,16 @@
 //! through the *same* [`FrameScorer`]-driven decode path — and returns the
 //! per-level [`LevelReport`]s that EXPERIMENTS.md tables are printed from.
 
-use crate::{acoustic, decoder, nn, pruning, quant, wfst, PolicyKind};
+use crate::{acoustic, decoder, nn, pruning, quant, wfst, PolicyKind, ServableSpec};
 use acoustic::{training_set, Corpus, CorpusConfig, Utterance};
 use darkside_error::Error;
 use darkside_trace::{self as trace, Json};
 use decoder::{acoustic_costs, decode_with_policy, BeamConfig, WerStats};
 use nn::{evaluate, FrameScorer, Matrix, Mlp, Precision, Rng, SgdConfig, Trainer};
-use pruning::{prune_mlp_to_sparsity_structured, ModelPruneResult, PruneStructure, PrunedMlp};
+use pruning::{prune_mlp_to_sparsity, ModelPruneResult, PruneStructure, PrunedMlp};
 use quant::{calibrate_mlp, QuantizedMlp};
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use wfst::{
     build_decoding_graph, build_lazy_decoding_graph, prune_grammar, Fst, GrammarPruneReport,
     GraphKind, GraphSource, LazyComposeFst, MemoStats, SharedGraph,
@@ -74,22 +74,8 @@ pub struct PipelineConfig {
     pub policy: PolicyKind,
     /// Global sparsity targets to sweep (the paper's 70/80/90 %).
     pub prune_levels: Vec<f64>,
-    /// Sparsity structure for the *structured* comparison rows (ISSUE 6).
-    /// [`PruneStructure::Unstructured`] (the default) reproduces the
-    /// original study; any block structure makes [`Pipeline::run`] /
-    /// [`Pipeline::run_policy_grid`] emit an extra BSR-served row per
-    /// pruning level so structured-vs-unstructured WER is read off at equal
-    /// sparsity.
-    pub structure: PruneStructure,
     /// Decoding-graph mode, lazy-memo budget, and grammar pruning (ISSUE 8).
     pub graph: GraphConfig,
-    /// Scoring precision for the *quantized* comparison rows (ISSUE 10).
-    /// [`Precision::F32`] (the default) reproduces the original study;
-    /// [`Precision::Int8`] makes [`Pipeline::run`] /
-    /// [`Pipeline::run_policy_grid`] emit an extra int8-served row per
-    /// level (and for dense) so quantized-vs-f32 WER is read off at equal
-    /// sparsity — the same ride-along pattern as `structure`.
-    pub precision: Precision,
     /// Seed for model init, training shuffles, and train/test sampling.
     pub seed: u64,
 }
@@ -115,9 +101,7 @@ impl PipelineConfig {
             beam: BeamConfig::default(),
             policy: PolicyKind::Beam,
             prune_levels: vec![0.70, 0.80, 0.90],
-            structure: PruneStructure::Unstructured,
             graph: GraphConfig::default(),
-            precision: Precision::F32,
             seed: 0xDA_2C,
         }
     }
@@ -153,9 +137,7 @@ impl PipelineConfig {
             beam: BeamConfig::default(),
             policy: PolicyKind::Beam,
             prune_levels: vec![0.90],
-            structure: PruneStructure::Unstructured,
             graph: GraphConfig::default(),
-            precision: Precision::F32,
             seed: 0x5310,
         }
     }
@@ -204,17 +186,6 @@ impl PipelineConfig {
         self
     }
 
-    pub fn with_structure(mut self, structure: PruneStructure) -> Self {
-        self.structure = structure;
-        self
-    }
-
-    /// Add int8-quantized comparison rows to every run (ISSUE 10).
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     pub fn with_graph(mut self, graph: GraphConfig) -> Self {
         self.graph = graph;
         self
@@ -258,8 +229,6 @@ impl PipelineConfig {
             ("beam", (self.beam.beam as f64).into()),
             ("acoustic_scale", (self.beam.acoustic_scale as f64).into()),
             ("policy", Json::str(self.policy.label())),
-            ("structure", Json::str(self.structure.label())),
-            ("precision", Json::str(self.precision.label())),
             ("graph_mode", Json::str(self.graph.mode.label())),
             ("memo_states", self.graph.memo_states.into()),
             ("grammar_prune", self.graph.grammar_prune.into()),
@@ -285,7 +254,7 @@ impl PipelineConfig {
         if self.train_utterances == 0 || self.test_utterances == 0 {
             return fail("empty train or test set".into());
         }
-        if self.prune_levels.iter().any(|&s| !(0.0..1.0).contains(&s)) {
+        if self.prune_levels.iter().any(|&s| !(s > 0.0 && s < 1.0)) {
             return fail(format!("prune levels {:?}", self.prune_levels));
         }
         if self.graph.mode == GraphKind::Lazy && self.graph.memo_states == 0 {
@@ -300,14 +269,13 @@ impl PipelineConfig {
         // Policy geometry problems (non-power-of-two sets, …) surface here
         // rather than mid-run.
         self.policy.build(&self.beam)?;
-        self.structure.validate("PipelineConfig.structure")?;
         Ok(())
     }
 }
 
 /// Metrics for one model variant (dense or one pruning level) over the
 /// held-out test set — one row of the EXPERIMENTS.md tables.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LevelReport {
     /// `"dense"` or the sparsity percentage, e.g. `"90%"`.
     pub label: String,
@@ -538,7 +506,31 @@ pub struct Pipeline {
     final_train_accuracy: f64,
     /// Memo of [`Pipeline::dense_hyps_baseline`] probes, keyed by beam
     /// geometry bits (one probe per distinct serving beam).
-    dense_hyps_probes: std::sync::Mutex<Vec<((u32, u32), f64)>>,
+    dense_hyps_probes: Mutex<Vec<((u32, u32), f64)>>,
+    /// Memo of [`Pipeline::pruned_model`] artifacts, keyed by (target
+    /// sparsity bits, structure, retrain epochs).
+    pruned_models: Mutex<Vec<(PrunedKey, Arc<PrunedModel>)>>,
+}
+
+/// A scorer shareable across serving threads.
+pub(crate) type SharedScorer = Arc<dyn FrameScorer + Send + Sync>;
+
+/// The masked dense model a prune + masked retrain leaves behind, with the
+/// prune result (masks, achieved sparsity) that produced it.
+type PrunedModel = (Mlp, ModelPruneResult);
+
+/// (target sparsity bits, structure, retrain epochs).
+type PrunedKey = (u64, PruneStructure, usize);
+
+/// What every report row and bundle says about its scorer.
+#[derive(Clone, Debug)]
+pub(crate) struct RowLabels {
+    /// `"dense"` or the target sparsity percentage, e.g. `"90%"`.
+    pub label: String,
+    pub structure: PruneStructure,
+    pub precision: Precision,
+    /// Achieved global sparsity of the scorer (0 for dense).
+    pub sparsity: f64,
 }
 
 impl Pipeline {
@@ -611,7 +603,8 @@ impl Pipeline {
             train_frames: features.rows(),
             final_train_loss: last.mean_loss as f64,
             final_train_accuracy: last.accuracy as f64,
-            dense_hyps_probes: std::sync::Mutex::new(Vec::new()),
+            dense_hyps_probes: Mutex::new(Vec::new()),
+            pruned_models: Mutex::new(Vec::new()),
         })
     }
 
@@ -662,9 +655,9 @@ impl Pipeline {
         Ok(baseline)
     }
 
-    /// The held-out test set every [`Pipeline::evaluate_scorer`] call
-    /// decodes (fixed at build time, so eager and lazy pipelines built from
-    /// the same config score identical utterances).
+    /// The held-out test set every report row decodes (fixed at build
+    /// time, so eager and lazy pipelines built from the same config score
+    /// identical utterances).
     pub fn test_set(&self) -> &[Utterance] {
         &self.test_set
     }
@@ -675,30 +668,74 @@ impl Pipeline {
         self.grammar_prune.as_ref()
     }
 
-    /// Decode the held-out set through `scorer` under the run's configured
-    /// policy. Every score — dense or pruned — flows through this one
-    /// path, so level comparisons differ only in the [`FrameScorer`]
-    /// behind them.
-    pub fn evaluate_scorer(
-        &self,
-        label: &str,
-        sparsity: f64,
-        scorer: &dyn FrameScorer,
-    ) -> Result<LevelReport, Error> {
-        self.evaluate_scorer_with_policy(label, sparsity, scorer, &self.config.policy)
+    /// Turn `spec` into its scorer and row labels — the one build path
+    /// behind [`Pipeline::servable`], [`Pipeline::run`] and
+    /// [`Pipeline::run_policy_grid`]. Pruned specs draw on the memoized
+    /// [`Pipeline::pruned_model`] artifact, so the f32 CSR, f32 BSR and int8
+    /// scorers at one (target, structure, retrain) are weight-identical by
+    /// construction. Ignores the spec's policy and beam (callers decide
+    /// what to decode under).
+    pub(crate) fn variant(&self, spec: &ServableSpec) -> Result<(SharedScorer, RowLabels), Error> {
+        let fail = |detail: String| Err(Error::config("ServableSpec", detail));
+        spec.structure.validate("ServableSpec.structure")?;
+        let dense = spec.sparsity == 0.0;
+        if dense {
+            if spec.structure != PruneStructure::Unstructured {
+                return fail(format!(
+                    "dense export cannot carry a pruning structure ({})",
+                    spec.structure.label()
+                ));
+            }
+            if let Some(epochs) = spec.retrain {
+                return fail(format!(
+                    "dense export cannot carry a retrain override ({epochs} epochs)"
+                ));
+            }
+        } else if !(spec.sparsity > 0.0 && spec.sparsity < 1.0) {
+            return fail(format!("sparsity target {} outside (0, 1)", spec.sparsity));
+        }
+        let pruned = (!dense).then(|| {
+            let retrain = spec.retrain.unwrap_or(self.config.retrain_epochs);
+            self.pruned_model(spec.sparsity, spec.structure, retrain)
+        });
+        let (model, sparsity) = match pruned.as_deref() {
+            Some((model, result)) => (model, result.sparsity),
+            None => (&self.model, 0.0),
+        };
+        let scorer: SharedScorer = match (spec.precision, pruned.as_deref()) {
+            (Precision::Int8, _) => Arc::new(self.quantize(model, spec.structure)?),
+            (Precision::F32, Some((model, result))) => {
+                Arc::new(PrunedMlp::new(model, &result.masks, spec.structure))
+            }
+            (Precision::F32, None) => Arc::new(model.clone()),
+        };
+        let label = if dense {
+            "dense".to_string()
+        } else {
+            format!("{:.0}%", spec.sparsity * 100.0)
+        };
+        let row = RowLabels {
+            label,
+            structure: spec.structure,
+            precision: spec.precision,
+            sparsity,
+        };
+        Ok((scorer, row))
     }
 
-    /// [`Pipeline::evaluate_scorer`] under an explicit [`PolicyKind`] —
-    /// the per-cell worker of [`Pipeline::run_policy_grid`]. A fresh
-    /// policy value is built per utterance (policies carry per-utterance
-    /// storage state and traffic counters).
-    pub fn evaluate_scorer_with_policy(
+    /// Decode the held-out set through `scorer` under `kind`, labelling the
+    /// report row with `row`. Every row — dense or pruned, any structure or
+    /// precision — flows through this one path, so rows differ only in the
+    /// [`FrameScorer`] and policy behind them. A fresh policy value is built
+    /// per utterance (policies carry per-utterance storage state and
+    /// traffic counters).
+    fn evaluate(
         &self,
-        label: &str,
-        sparsity: f64,
+        row: &RowLabels,
         scorer: &dyn FrameScorer,
         kind: &PolicyKind,
     ) -> Result<LevelReport, Error> {
+        let label = &row.label;
         // Stage span + per-level metric names (ISSUE 4). When tracing is
         // off the span is inert and the names are never formatted.
         let traced = trace::active();
@@ -774,11 +811,11 @@ impl Pipeline {
         let utts = self.test_set.len() as f64;
         let pct = trace::exact_percentile;
         Ok(LevelReport {
-            label: label.to_string(),
+            label: label.clone(),
             policy: kind.label().to_string(),
-            structure: PruneStructure::Unstructured.label(),
-            precision: Precision::F32.label().to_string(),
-            sparsity,
+            structure: row.structure.label(),
+            precision: row.precision.label().to_string(),
+            sparsity: row.sparsity,
             mean_confidence: confidence / frames as f64,
             frame_accuracy: correct as f64 / frames as f64,
             wer_percent: wer.percent(),
@@ -802,53 +839,30 @@ impl Pipeline {
         })
     }
 
-    /// Prune the dense model to `target` global sparsity, masked-retrain,
-    /// and return the CSR-backed scorer plus its achieved sparsity.
-    pub fn prune_to(&self, target: f64) -> Result<(PrunedMlp, f64), Error> {
-        self.prune_to_structured(target, PruneStructure::Unstructured)
-    }
-
-    /// [`Pipeline::prune_to`] under an explicit [`PruneStructure`]: block
-    /// structures prune whole serving tiles and come back BSR-served; the
-    /// masked-retraining loop re-projects onto the structured support, so
-    /// retrained weights stay tile-aligned.
-    pub fn prune_to_structured(
-        &self,
-        target: f64,
-        structure: PruneStructure,
-    ) -> Result<(PrunedMlp, f64), Error> {
-        self.prune_with_retrain(target, structure, self.config.retrain_epochs)
-    }
-
-    /// [`Pipeline::prune_to_structured`] with an explicit masked-retraining
-    /// budget instead of the configured one. Zero epochs exports the raw
-    /// prune-and-ship artifact ([`crate::ServableSpec::with_retrain`]).
-    pub(crate) fn prune_with_retrain(
+    /// Prune the dense model to `target` global sparsity under `structure`
+    /// (global-quality bisection, or whole serving tiles for block
+    /// structures) and masked-retrain it for `retrain_epochs`, returning the
+    /// *masked dense* model with its prune result. Every pruned scorer is
+    /// compressed or quantized from this artifact, memoized per (target,
+    /// structure, retrain epochs): the prune and retrain run once however
+    /// many scorers, precisions or report rows share them. Zero epochs is
+    /// the raw prune-and-ship artifact ([`ServableSpec::with_retrain`]).
+    fn pruned_model(
         &self,
         target: f64,
         structure: PruneStructure,
         retrain_epochs: usize,
-    ) -> Result<(PrunedMlp, f64), Error> {
-        let (model, result) = self.prune_model_with_retrain(target, structure, retrain_epochs)?;
-        let pruned = PrunedMlp::from_prune_result_structured(&model, &result, structure);
-        Ok((pruned, result.sparsity))
-    }
-
-    /// The prune + masked-retrain core, returning the *masked dense* model
-    /// alongside the prune result instead of compressing it straight to a
-    /// sparse scorer — int8 quantization (ISSUE 10) reads the masked dense
-    /// weights, so both the sparse and the quantized exports build from
-    /// this one artifact and stay weight-identical.
-    pub(crate) fn prune_model_with_retrain(
-        &self,
-        target: f64,
-        structure: PruneStructure,
-        retrain_epochs: usize,
-    ) -> Result<(Mlp, ModelPruneResult), Error> {
+    ) -> Arc<PrunedModel> {
+        let key = (target.to_bits(), structure, retrain_epochs);
+        // Held across the build, so each artifact is built exactly once.
+        let mut memo = self.pruned_models.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, artifact)) = memo.iter().find(|(k, _)| *k == key) {
+            return artifact.clone();
+        }
         let mut model = self.model.clone();
         let result = {
             let _s = trace::span!("prune");
-            let result = prune_mlp_to_sparsity_structured(&model, target, 0.005, structure);
+            let result = prune_mlp_to_sparsity(&model, target, 0.005, structure);
             result.apply(&mut model);
             result
         };
@@ -880,7 +894,9 @@ impl Pipeline {
                 trainer.end_epoch();
             }
         }
-        Ok((model, result))
+        let artifact = Arc::new((model, result));
+        memo.push((key, artifact.clone()));
+        artifact
     }
 
     /// Features for activation-scale calibration (ISSUE 10): a small fixed
@@ -897,74 +913,32 @@ impl Pipeline {
         features
     }
 
-    /// Quantize the dense model to int8 (ISSUE 10): calibrate activation
-    /// scales on the training distribution, then store every affine layer
-    /// as packed dense i8.
-    pub fn quantize_dense(&self) -> Result<QuantizedMlp, Error> {
+    /// Quantize `model` (dense, or a masked [`Pipeline::pruned_model`]) to
+    /// int8. Activation scales are calibrated through `model` itself, so
+    /// they match the activations int8 serving will see; tile structures
+    /// come back served from quantized BSR, everything else from packed
+    /// dense i8.
+    fn quantize(&self, model: &Mlp, structure: PruneStructure) -> Result<QuantizedMlp, Error> {
         let _s = trace::span!("quantize");
-        let calib = calibrate_mlp(&self.model, &self.calibration_features());
-        QuantizedMlp::quantize(&self.model, &calib, PruneStructure::Unstructured)
+        let calib = calibrate_mlp(model, &self.calibration_features());
+        QuantizedMlp::quantize(model, &calib, structure)
     }
 
-    /// Prune to `target` under `structure` (with masked retraining), then
-    /// quantize the masked dense model to int8 — tile structures come back
-    /// served from quantized BSR, everything else from packed dense i8.
-    /// Calibration runs on the *pruned* model, so activation scales match
-    /// the activations int8 serving will actually see.
-    pub fn quantize_pruned(
-        &self,
-        target: f64,
-        structure: PruneStructure,
-        retrain_epochs: usize,
-    ) -> Result<(QuantizedMlp, f64), Error> {
-        let (model, result) = self.prune_model_with_retrain(target, structure, retrain_epochs)?;
-        let _s = trace::span!("quantize");
-        let calib = calibrate_mlp(&model, &self.calibration_features());
-        let quantized = QuantizedMlp::quantize(&model, &calib, structure)?;
-        Ok((quantized, result.sparsity))
-    }
-
-    /// The one-call study: dense evaluation, then every configured pruning
-    /// level through the identical decode path. With a block
-    /// [`PipelineConfig::structure`] configured, each level additionally
-    /// gets a structured (BSR-served) row at the same target, so the
-    /// structured-vs-unstructured WER gap is read off the report directly.
+    /// The one-call study: the dense model, then every configured pruning
+    /// level, decoded under the configured policy — [`Pipeline::run_policy_grid`]
+    /// over `[dense] + prune_levels`, flattened to one row per variant.
     pub fn run(&self) -> Result<PipelineReport, Error> {
-        let quantized = self.config.precision == Precision::Int8;
-        let mut levels = vec![self.evaluate_scorer("dense", 0.0, &self.model)?];
-        if quantized {
-            let q = self.quantize_dense()?;
-            let mut row = self.evaluate_scorer("dense", 0.0, &q)?;
-            row.precision = Precision::Int8.label().to_string();
-            levels.push(row);
-        }
-        for &target in &self.config.prune_levels {
-            let (pruned, sparsity) = self.prune_to(target)?;
-            let label = format!("{:.0}%", target * 100.0);
-            levels.push(self.evaluate_scorer(&label, sparsity, &pruned)?);
-            if self.config.structure != PruneStructure::Unstructured {
-                let (pruned, sparsity) = self.prune_to_structured(target, self.config.structure)?;
-                let mut row = self.evaluate_scorer(&label, sparsity, &pruned)?;
-                row.structure = self.config.structure.label();
-                levels.push(row);
-            }
-            if quantized {
-                // Quantize on the configured structure, so the int8 row is
-                // the direct precision ablation of the structure row above
-                // it (same masked weights, same sparsity).
-                let (q, sparsity) = self.quantize_pruned(
-                    target,
-                    self.config.structure,
-                    self.config.retrain_epochs,
-                )?;
-                let mut row = self.evaluate_scorer(&label, sparsity, &q)?;
-                row.structure = self.config.structure.label();
-                row.precision = Precision::Int8.label().to_string();
-                levels.push(row);
-            }
-        }
+        let variants: Vec<ServableSpec> = std::iter::once(ServableSpec::dense())
+            .chain(
+                self.config
+                    .prune_levels
+                    .iter()
+                    .map(|&t| ServableSpec::pruned(t)),
+            )
+            .collect();
+        let grid = self.run_policy_grid(&variants, &[self.config.policy])?;
         Ok(PipelineReport {
-            levels,
+            levels: grid.levels.into_iter().flat_map(|l| l.per_policy).collect(),
             train_frames: self.train_frames,
             test_frames: self.test_set.iter().map(|u| u.frames.len()).sum(),
             graph_kind: self.graph.kind().label().to_string(),
@@ -1006,104 +980,44 @@ impl Pipeline {
         Ok((pipeline, report, run))
     }
 
-    /// Per-level × per-policy sweep: prune once per level, then decode the
-    /// same pruned scorer under every policy in `policies` (so the columns
+    /// Per-variant × per-policy sweep: build each variant's scorer once,
+    /// then decode it under every policy in `policies` (so the columns
     /// differ only in hypothesis admission, never in the acoustic model).
-    /// With a block [`PipelineConfig::structure`], each pruned level gains a
-    /// structured row — the equal-sparsity WER comparison across every
-    /// policy column at once.
-    pub fn run_policy_grid(&self, policies: &[PolicyKind]) -> Result<PolicyGridReport, Error> {
-        let unstructured = PruneStructure::Unstructured;
-        let quantized = self.config.precision == Precision::Int8;
-        let mut levels = vec![self.grid_level(
-            "dense",
-            unstructured,
-            Precision::F32,
-            0.0,
-            &self.model,
-            policies,
-        )?];
-        if quantized {
-            let q = self.quantize_dense()?;
-            levels.push(self.grid_level(
-                "dense",
-                unstructured,
-                Precision::Int8,
-                0.0,
-                &q,
-                policies,
-            )?);
+    /// Rows come back in `variants` order. Every variant decodes at the
+    /// configured beam under each swept policy, so a spec carrying its own
+    /// policy or beam is a contradiction and fails with [`Error::Config`].
+    pub fn run_policy_grid(
+        &self,
+        variants: &[ServableSpec],
+        policies: &[PolicyKind],
+    ) -> Result<PolicyGridReport, Error> {
+        if let Some(spec) = variants
+            .iter()
+            .find(|s| s.policy.is_some() || s.beam.is_some())
+        {
+            return Err(Error::config(
+                "run_policy_grid",
+                format!("variant {spec:?} carries a policy or beam override"),
+            ));
         }
-        for &target in &self.config.prune_levels {
-            let (pruned, sparsity) = self.prune_to(target)?;
-            let label = format!("{:.0}%", target * 100.0);
-            levels.push(self.grid_level(
-                &label,
-                unstructured,
-                Precision::F32,
-                sparsity,
-                &pruned,
-                policies,
-            )?);
-            if self.config.structure != unstructured {
-                let (pruned, sparsity) = self.prune_to_structured(target, self.config.structure)?;
-                levels.push(self.grid_level(
-                    &label,
-                    self.config.structure,
-                    Precision::F32,
-                    sparsity,
-                    &pruned,
-                    policies,
-                )?);
-            }
-            if quantized {
-                // Equal-sparsity precision ablation: same masked weights as
-                // the f32 row on the configured structure, stored int8.
-                let (q, sparsity) = self.quantize_pruned(
-                    target,
-                    self.config.structure,
-                    self.config.retrain_epochs,
-                )?;
-                levels.push(self.grid_level(
-                    &label,
-                    self.config.structure,
-                    Precision::Int8,
-                    sparsity,
-                    &q,
-                    policies,
-                )?);
-            }
+        let mut levels = Vec::with_capacity(variants.len());
+        for spec in variants {
+            let (scorer, row) = self.variant(spec)?;
+            let per_policy = policies
+                .iter()
+                .map(|kind| self.evaluate(&row, scorer.as_ref(), kind))
+                .collect::<Result<Vec<_>, _>>()?;
+            levels.push(PolicyGridLevel {
+                structure: row.structure.label(),
+                precision: row.precision.label().to_string(),
+                sparsity: row.sparsity,
+                label: row.label,
+                per_policy,
+            });
         }
         Ok(PolicyGridReport {
             policies: policies.iter().map(|p| p.label().to_string()).collect(),
             levels,
-        })
-    }
-
-    fn grid_level(
-        &self,
-        label: &str,
-        structure: PruneStructure,
-        precision: Precision,
-        sparsity: f64,
-        scorer: &dyn FrameScorer,
-        policies: &[PolicyKind],
-    ) -> Result<PolicyGridLevel, Error> {
-        let per_policy = policies
-            .iter()
-            .map(|kind| {
-                let mut row = self.evaluate_scorer_with_policy(label, sparsity, scorer, kind)?;
-                row.structure = structure.label();
-                row.precision = precision.label().to_string();
-                Ok::<_, Error>(row)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(PolicyGridLevel {
-            label: label.to_string(),
-            structure: structure.label(),
-            precision: precision.label().to_string(),
-            sparsity,
-            per_policy,
         })
     }
 }
@@ -1119,64 +1033,111 @@ mod tests {
             Pipeline::build(bad).unwrap_err(),
             Error::Config { .. }
         ));
-        let bad = PipelineConfig::smoke().with_prune_levels(vec![1.5]);
-        assert!(matches!(
-            Pipeline::build(bad).unwrap_err(),
-            Error::Config { .. }
-        ));
+        // A zero level would be the dense variant, not a pruning level.
+        for level in [0.0, 1.5] {
+            let bad = PipelineConfig::smoke().with_prune_levels(vec![level]);
+            assert!(matches!(
+                Pipeline::build(bad).unwrap_err(),
+                Error::Config { .. }
+            ));
+        }
     }
 
     #[test]
-    fn structured_rows_ride_along_when_configured() {
-        // Shape-only check (training quality is irrelevant): a block
-        // structure adds one BSR-served row per pruning level, at the same
-        // label, distinguished by the structure field.
-        let config = PipelineConfig::smoke()
-            .with_training(1, 0)
-            .with_structure(PruneStructure::tile());
-        let pipeline = Pipeline::build(config).unwrap();
-        let report = pipeline.run().unwrap();
-        assert_eq!(report.levels.len(), 3);
-        assert_eq!(report.levels[0].structure, "unstructured");
-        assert_eq!(report.levels[1].structure, "unstructured");
-        assert_eq!(report.levels[2].structure, "b8x8");
-        assert_eq!(report.levels[1].label, report.levels[2].label);
+    fn grid_rows_follow_the_variant_specs() {
+        // Shape-only check (training quality is irrelevant): every spec is
+        // one row, in spec order, labelled by the spec's structure and
+        // precision.
+        let pipeline = Pipeline::build(PipelineConfig::smoke().with_training(1, 0)).unwrap();
+        let int8 = Precision::Int8;
+        let tile = ServableSpec::pruned(0.9).with_structure(PruneStructure::tile());
+        let variants = [
+            ServableSpec::dense(),
+            ServableSpec::dense().with_precision(int8),
+            ServableSpec::pruned(0.9),
+            tile,
+            tile.with_precision(int8),
+        ];
+        let grid = pipeline
+            .run_policy_grid(&variants, &[PolicyKind::Beam])
+            .unwrap();
+        let labels: Vec<(&str, &str, &str)> = grid
+            .levels
+            .iter()
+            .map(|l| (l.label.as_str(), l.structure.as_str(), l.precision.as_str()))
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                ("dense", "unstructured", "f32"),
+                ("dense", "unstructured", "int8"),
+                ("90%", "unstructured", "f32"),
+                ("90%", "b8x8", "f32"),
+                ("90%", "b8x8", "int8"),
+            ]
+        );
+        for level in &grid.levels {
+            let row = &level.per_policy[0];
+            assert_eq!(
+                (&row.structure, &row.precision),
+                (&level.structure, &level.precision)
+            );
+            assert_eq!(row.sparsity, level.sparsity);
+        }
         // Equal-sparsity comparison: the structured row lands near the same
-        // target (block granularity costs a little precision).
-        assert!((report.levels[2].sparsity - 0.9).abs() < 0.05);
-        let grid = pipeline.run_policy_grid(&[PolicyKind::Beam]).unwrap();
-        assert_eq!(grid.levels.len(), 3);
-        assert_eq!(grid.levels[2].structure, "b8x8");
-        assert_eq!(grid.levels[2].per_policy[0].structure, "b8x8");
+        // target (block granularity costs a little precision), and the int8
+        // row quantizes the very same masked weights.
+        assert!((grid.levels[3].sparsity - 0.9).abs() < 0.05);
+        assert_eq!(grid.levels[4].sparsity, grid.levels[3].sparsity);
     }
 
     #[test]
-    fn quantized_rows_ride_along_when_configured() {
-        // Shape-only check: Int8 precision adds a quantized dense row and
-        // one quantized row per pruning level, on the configured structure,
-        // distinguished by the precision field (ISSUE 10).
+    fn run_is_the_grid_over_dense_and_the_prune_levels() {
         let config = PipelineConfig::smoke()
-            .with_training(1, 0)
-            .with_structure(PruneStructure::tile())
-            .with_precision(Precision::Int8);
-        let pipeline = Pipeline::build(config).unwrap();
-        let report = pipeline.run().unwrap();
-        // dense f32, dense int8, 90% unstructured f32, 90% b8x8 f32,
-        // 90% b8x8 int8.
-        assert_eq!(report.levels.len(), 5);
-        let precisions: Vec<&str> = report.levels.iter().map(|l| l.precision.as_str()).collect();
-        assert_eq!(precisions, ["f32", "int8", "f32", "f32", "int8"]);
-        assert_eq!(report.levels[1].label, "dense");
-        assert_eq!(report.levels[4].structure, "b8x8");
-        assert_eq!(report.levels[4].label, report.levels[3].label);
-        // Equal-sparsity ablation: the int8 row matches the f32 b8x8 row's
-        // achieved sparsity exactly (same masked weights).
-        assert_eq!(report.levels[4].sparsity, report.levels[3].sparsity);
-        let grid = pipeline.run_policy_grid(&[PolicyKind::Beam]).unwrap();
-        assert_eq!(grid.levels.len(), 5);
-        assert_eq!(grid.levels[1].precision, "int8");
-        assert_eq!(grid.levels[4].precision, "int8");
-        assert_eq!(grid.levels[4].per_policy[0].precision, "int8");
+            .with_training(1, 1)
+            .with_prune_levels(vec![0.8, 0.9])
+            .with_policy(PolicyKind::LooseNBest(
+                darkside_viterbi_accel::NBestTableConfig::paper(),
+            ));
+        let report = Pipeline::build(config.clone()).unwrap().run().unwrap();
+        let variants = [
+            ServableSpec::dense(),
+            ServableSpec::pruned(0.8),
+            ServableSpec::pruned(0.9),
+        ];
+        let grid = Pipeline::build(config.clone())
+            .unwrap()
+            .run_policy_grid(&variants, &[config.policy])
+            .unwrap();
+        let without_wall_clock = |row: &LevelReport| LevelReport {
+            frame_ns_p50: 0.0,
+            frame_ns_p95: 0.0,
+            frame_ns_p99: 0.0,
+            ..row.clone()
+        };
+        let run_rows: Vec<LevelReport> = report.levels.iter().map(without_wall_clock).collect();
+        let grid_rows: Vec<LevelReport> = grid
+            .levels
+            .iter()
+            .flat_map(|l| &l.per_policy)
+            .map(without_wall_clock)
+            .collect();
+        assert_eq!(run_rows.len(), 3);
+        assert_eq!(run_rows, grid_rows);
+    }
+
+    #[test]
+    fn grid_specs_cannot_override_policy_or_beam() {
+        let pipeline = Pipeline::build(PipelineConfig::smoke().with_training(0, 0)).unwrap();
+        for spec in [
+            ServableSpec::dense().with_policy(PolicyKind::Beam),
+            ServableSpec::pruned(0.9).with_beam(BeamConfig::default()),
+        ] {
+            let err = pipeline
+                .run_policy_grid(&[ServableSpec::dense(), spec], &[PolicyKind::Beam])
+                .unwrap_err();
+            assert!(matches!(err, Error::Config { .. }), "{err:?}");
+        }
     }
 
     #[test]

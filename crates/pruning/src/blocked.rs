@@ -14,7 +14,7 @@
 //! kept blocks hits the target. Block dims here are in the orientation of
 //! the matrix being pruned; model-level code maps the serving-orientation
 //! [`PruneStructure`] onto each dense layer (see
-//! [`prune_mlp_to_sparsity_structured`](crate::prune_mlp_to_sparsity_structured)).
+//! [`prune_mlp_to_sparsity`](crate::prune_mlp_to_sparsity)).
 
 use crate::magnitude::{mask_for_quality, Mask, PruneResult};
 use darkside_error::Error;

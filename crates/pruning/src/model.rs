@@ -68,34 +68,10 @@ fn masks_at_quality(mlp: &Mlp, quality: f32) -> (Vec<Option<Mask>>, f64) {
     (masks, sparsity)
 }
 
-/// Bisection search for the single global quality parameter that prunes
-/// `mlp` to `target` global sparsity within `tol` (the Table I procedure).
-pub fn prune_mlp_to_sparsity(mlp: &Mlp, target: f64, tol: f64) -> ModelPruneResult {
-    assert!((0.0..1.0).contains(&target), "target sparsity in [0, 1)");
-    let (mut lo, mut hi) = (0.0f32, 8.0f32);
-    let (mut masks, mut sparsity) = masks_at_quality(mlp, lo);
-    let mut quality = lo;
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        let (m, s) = masks_at_quality(mlp, mid);
-        (masks, sparsity, quality) = (m, s, mid);
-        if (s - target).abs() <= tol {
-            break;
-        }
-        if s < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    ModelPruneResult {
-        masks,
-        quality,
-        sparsity,
-    }
-}
-
-/// Structured whole-model pruning at one global target.
+/// Whole-model pruning at one global `target` sparsity under `structure`.
+///
+/// `Unstructured` runs the Table I procedure: a bisection search for the
+/// single global quality parameter that lands within `tol` of the target.
 ///
 /// [`PruneStructure`] block dims are in the *serving* orientation (`r` over
 /// output units, `c` over inputs), but masks live on the dense layer weights
@@ -104,16 +80,16 @@ pub fn prune_mlp_to_sparsity(mlp: &Mlp, target: f64, tol: f64) -> ModelPruneResu
 /// quality bisection of [`prune_to_sparsity_blocked`] layer by layer at the
 /// global target (block-norm distributions differ enough per layer that a
 /// per-layer search lands tighter than one global knob); `Balanced` fixes
-/// the kept-blocks-per-block-row count per layer. `Unstructured` falls back
-/// to [`prune_mlp_to_sparsity`].
-pub fn prune_mlp_to_sparsity_structured(
+/// the kept-blocks-per-block-row count per layer.
+pub fn prune_mlp_to_sparsity(
     mlp: &Mlp,
     target: f64,
     tol: f64,
     structure: PruneStructure,
 ) -> ModelPruneResult {
+    assert!((0.0..1.0).contains(&target), "target sparsity in [0, 1)");
     let Some((r, c)) = structure.block_dims() else {
-        return prune_mlp_to_sparsity(mlp, target, tol);
+        return global_bisection(mlp, target, tol);
     };
     // Serving tile r×c on Wᵀ (out×in) = block c×r on dense w (in×out).
     let (br, bc) = (c, r);
@@ -149,6 +125,31 @@ pub fn prune_mlp_to_sparsity_structured(
     }
 }
 
+/// The unstructured arm: bisect the one global quality knob.
+fn global_bisection(mlp: &Mlp, target: f64, tol: f64) -> ModelPruneResult {
+    let (mut lo, mut hi) = (0.0f32, 8.0f32);
+    let (mut masks, mut sparsity) = masks_at_quality(mlp, lo);
+    let mut quality = lo;
+    for _ in 0..64 {
+        let mid = 0.5 * (lo + hi);
+        let (m, s) = masks_at_quality(mlp, mid);
+        (masks, sparsity, quality) = (m, s, mid);
+        if (s - target).abs() <= tol {
+            break;
+        }
+        if s < target {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    ModelPruneResult {
+        masks,
+        quality,
+        sparsity,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,7 +164,7 @@ mod tests {
     fn global_bisection_hits_paper_targets() {
         let mlp = model();
         for target in [0.7, 0.8, 0.9] {
-            let r = prune_mlp_to_sparsity(&mlp, target, 0.005);
+            let r = prune_mlp_to_sparsity(&mlp, target, 0.005, PruneStructure::Unstructured);
             assert!(
                 (r.sparsity - target).abs() <= 0.005,
                 "target {target}: got {}",
@@ -180,7 +181,7 @@ mod tests {
     fn structured_search_hits_targets_with_whole_serving_tiles() {
         let mlp = model();
         for structure in [PruneStructure::tile(), PruneStructure::row_vector()] {
-            let r = prune_mlp_to_sparsity_structured(&mlp, 0.9, 0.03, structure);
+            let r = prune_mlp_to_sparsity(&mlp, 0.9, 0.03, structure);
             assert!(
                 (r.sparsity - 0.9).abs() <= 0.05,
                 "{}: got {}",
@@ -205,16 +206,12 @@ mod tests {
                 }
             }
         }
-        // Unstructured passthrough matches the plain search.
-        let a = prune_mlp_to_sparsity_structured(&mlp, 0.8, 0.01, PruneStructure::Unstructured);
-        let b = prune_mlp_to_sparsity(&mlp, 0.8, 0.01);
-        assert_eq!(a.masks, b.masks);
     }
 
     #[test]
     fn lda_is_never_masked_and_apply_zeroes_the_rest() {
         let mut mlp = model();
-        let r = prune_mlp_to_sparsity(&mlp, 0.8, 0.01);
+        let r = prune_mlp_to_sparsity(&mlp, 0.8, 0.01, PruneStructure::Unstructured);
         assert!(r.masks[0].is_none(), "LDA must be unprunable");
         r.apply(&mut mlp);
         let mut zeros = 0usize;

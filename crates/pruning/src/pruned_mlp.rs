@@ -7,7 +7,6 @@
 
 use crate::blocked::PruneStructure;
 use crate::magnitude::Mask;
-use crate::model::ModelPruneResult;
 use crate::pruned_layer::PrunedAffine;
 use darkside_nn::{stack_frames, traced_score_frames, Frame, FrameScorer, Layer, Mlp, Scores};
 
@@ -30,23 +29,14 @@ pub struct PrunedMlp {
 
 impl PrunedMlp {
     /// Compress `mlp` under `masks` (one entry per layer, `None` = keep
-    /// dense) into CSR. The masked weights of `mlp` should already be zero —
-    /// i.e. call [`ModelPruneResult::apply`] (and retrain) first; this
-    /// constructor only changes the storage format, never the math.
-    pub fn from_masked(mlp: &Mlp, masks: &[Option<Mask>]) -> Self {
-        Self::from_masked_structured(mlp, masks, PruneStructure::Unstructured)
-    }
-
-    /// Compress under `masks`, picking the storage backend from `structure`:
-    /// CSR for [`PruneStructure::Unstructured`], BSR tiles otherwise. The
+    /// dense), picking the storage backend from `structure`: CSR for
+    /// [`PruneStructure::Unstructured`], BSR tiles otherwise. The masked
+    /// weights of `mlp` should already be zero — i.e. call
+    /// [`crate::ModelPruneResult::apply`] (and retrain) first — and the
     /// masks must respect the structure (whole serving tiles), which the
-    /// structured pruners guarantee. Either way the scoring math — and every
-    /// output bit — is identical; only the kernels change.
-    pub fn from_masked_structured(
-        mlp: &Mlp,
-        masks: &[Option<Mask>],
-        structure: PruneStructure,
-    ) -> Self {
+    /// structured pruners guarantee. Only the storage format changes, never
+    /// the math: every output bit is identical whichever backend serves it.
+    pub fn new(mlp: &Mlp, masks: &[Option<Mask>], structure: PruneStructure) -> Self {
         assert_eq!(masks.len(), mlp.layers.len(), "mask/layer count");
         let layers = mlp
             .layers
@@ -67,21 +57,6 @@ impl PrunedMlp {
             input_dim: mlp.input_dim(),
             classes: mlp.output_dim(),
         }
-    }
-
-    /// Shorthand: compress under a whole-model prune result (CSR).
-    pub fn from_prune_result(mlp: &Mlp, result: &ModelPruneResult) -> Self {
-        Self::from_masked(mlp, &result.masks)
-    }
-
-    /// Shorthand: compress under a whole-model prune result with the backend
-    /// chosen by `structure`.
-    pub fn from_prune_result_structured(
-        mlp: &Mlp,
-        result: &ModelPruneResult,
-        structure: PruneStructure,
-    ) -> Self {
-        Self::from_masked_structured(mlp, &result.masks, structure)
     }
 
     /// Global sparsity over the sparse layers (0 if nothing is compressed).
@@ -146,9 +121,9 @@ mod tests {
     fn pruned_model_matches_masked_dense_through_the_trait() {
         let mut rng = Rng::new(0xC0);
         let mut mlp = Mlp::kaldi_style(24, 32, 4, 2, 7, &mut rng);
-        let result = prune_mlp_to_sparsity(&mlp, 0.9, 0.005);
+        let result = prune_mlp_to_sparsity(&mlp, 0.9, 0.005, PruneStructure::Unstructured);
         result.apply(&mut mlp);
-        let pruned = PrunedMlp::from_prune_result(&mlp, &result);
+        let pruned = PrunedMlp::new(&mlp, &result.masks, PruneStructure::Unstructured);
         assert!((pruned.sparsity() - result.sparsity).abs() < 1e-9);
         assert_eq!(pruned.input_dim, 24);
         assert_eq!(pruned.classes, 7);

@@ -14,8 +14,8 @@
 use darkside_nn::check::run_cases;
 use darkside_nn::{Frame, FrameScorer, Matrix, Mlp, Rng};
 use darkside_pruning::{
-    prune_mlp_to_sparsity_structured, prune_to_sparsity_balanced, prune_to_sparsity_blocked, Bsr,
-    Csr, PruneStructure, PrunedMlp,
+    prune_mlp_to_sparsity, prune_to_sparsity_balanced, prune_to_sparsity_blocked, Bsr, Csr,
+    PruneStructure, PrunedMlp,
 };
 
 /// Random matrix where each entry is zero with probability `sparsity`.
@@ -246,11 +246,10 @@ fn pruned_mlp_backends_score_bit_identical() {
     let mut rng = Rng::new(0xB52_0006);
     let mut mlp = Mlp::kaldi_style(20, 32, 4, 2, 9, &mut rng);
     for structure in [PruneStructure::tile(), PruneStructure::row_vector()] {
-        let res = prune_mlp_to_sparsity_structured(&mlp, 0.8, 0.02, structure);
+        let res = prune_mlp_to_sparsity(&mlp, 0.8, 0.02, structure);
         res.apply(&mut mlp);
-        let via_bsr = PrunedMlp::from_prune_result_structured(&mlp, &res, structure);
-        let via_csr =
-            PrunedMlp::from_prune_result_structured(&mlp, &res, PruneStructure::Unstructured);
+        let via_bsr = PrunedMlp::new(&mlp, &res.masks, structure);
+        let via_csr = PrunedMlp::new(&mlp, &res.masks, PruneStructure::Unstructured);
         assert!(via_bsr.sparsity() > 0.5, "prune actually happened");
 
         let frames: Vec<Frame> = (0..17)

@@ -26,7 +26,7 @@ mod tests {
         // One symbol per re-export, so a broken path fails to compile here
         // rather than in a downstream example.
         let _ = crate::acoustic::PhonemeInventory::default_scaled();
-        let _ = crate::core::GridConfig::full_grid();
+        let _ = crate::core::ServableSpec::dense();
         let _ = crate::decoder::BeamConfig::default();
         let _ = crate::dnn_accel::DnnAccelConfig::paper();
         let _ = crate::hwmodel::EnergyAccount::default();

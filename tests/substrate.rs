@@ -1,10 +1,7 @@
-//! Cross-crate integration tests for the ISSUE 1 compute substrate.
-//!
-//! These live on the root `darkside` package so the tier-1 verify
-//! (`cargo build --release && cargo test -q`, which tests the root package)
-//! exercises the hot paths end to end: blocked/parallel GEMM against the
-//! naive oracle, CSR sparse kernels against dense, and batched frame scoring
-//! through a pruned-and-rebuilt layer.
+//! Cross-crate integration tests on the root `darkside` package, reaching
+//! every crate through the facade: blocked/parallel GEMM against the naive
+//! oracle, CSR sparse kernels against dense, batched frame scoring through
+//! a pruned-and-rebuilt layer, and the variant × policy experiment grid.
 
 use darkside::nn::check::{assert_matrices_close, assert_slices_close, random_matrix, run_cases};
 use darkside::nn::{gemm_naive, gemm_with_threads, Frame, FrameScorer, Matrix, Mlp, Rng};
@@ -92,8 +89,20 @@ fn csr_spmv_matches_dense_gemv() {
 
 #[test]
 fn experiment_grid_is_wired() {
-    let grid = darkside::core::GridConfig::full_grid();
-    assert_eq!(grid.len(), 12);
-    assert_eq!(grid[11].label(), "NBest-90");
-    assert_eq!(grid[11].prune.sparsity(), 0.9);
+    // The paper's grid is model variants × selection policies: one row per
+    // variant, one column per policy, through the one build path.
+    use darkside::core::{Pipeline, PipelineConfig, PolicyKind, ServableSpec};
+    use darkside::viterbi_accel::NBestTableConfig;
+    let pipeline = Pipeline::build(PipelineConfig::smoke().with_training(0, 0)).unwrap();
+    let variants = [ServableSpec::dense(), ServableSpec::pruned(0.9)];
+    let policies = [
+        PolicyKind::Beam,
+        PolicyKind::LooseNBest(NBestTableConfig::paper()),
+    ];
+    let grid = pipeline.run_policy_grid(&variants, &policies).unwrap();
+    assert_eq!(grid.policies, ["beam", "nbest"]);
+    assert_eq!(grid.levels.len(), 2);
+    assert_eq!(grid.levels[1].label, "90%");
+    assert!((grid.levels[1].sparsity - 0.9).abs() < 0.01);
+    assert_eq!(grid.levels[1].per_policy[1].policy, "nbest");
 }
